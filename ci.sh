@@ -24,7 +24,8 @@
 #   ./ci.sh trace-smoke    # causal-tracing gate: --trace-out leaves
 #                          # stdout untouched and exports valid Chrome
 #                          # trace_event JSON, the folded span-tree
-#                          # shape is byte-identical at 1 and 8 threads,
+#                          # shape is byte-identical at 1 and 8 threads
+#                          # (sweep) and at 1 and 2 (rank, experiments),
 #                          # and GET /v1/trace answers over raw TCP with
 #                          # the client's X-Request-Id echoed and the
 #                          # request access-logged as strict JSON
@@ -310,6 +311,23 @@ PY
     exit 1
   fi
   printf '  ok folded span-tree shape byte-identical at 1 and 8 threads\n'
+
+  # The same shape check at the rank and experiments fan-outs, whose
+  # system-years are simulated on spawned workers at two threads.
+  for cmd in rank "experiments fig06"; do
+    local tag=${cmd%% *}
+    for t in 1 2; do
+      # shellcheck disable=SC2086 # $cmd is a command plus its argument
+      "$bin" --threads "$t" $cmd --json --profile > /dev/null 2> "target/trace_profile_${tag}_t$t.json"
+      grep -v '_ns"' "target/trace_profile_${tag}_t$t.json" > "target/trace_shape_${tag}_t$t.json"
+    done
+    if ! cmp -s "target/trace_shape_${tag}_t1.json" "target/trace_shape_${tag}_t2.json"; then
+      echo "trace smoke: $cmd span-tree shape differs at 1 vs 2 threads" >&2
+      diff "target/trace_shape_${tag}_t1.json" "target/trace_shape_${tag}_t2.json" >&2 || true
+      exit 1
+    fi
+  done
+  printf '  ok rank and experiments span-tree shapes byte-identical at 1 and 2 threads\n'
 
   # /v1/trace + X-Request-Id echo + --log-json over raw TCP.
   "$bin" serve --addr 127.0.0.1:0 --workers 1 --log-json     > target/trace_serve_banner.txt 2> target/trace_access_log.txt &

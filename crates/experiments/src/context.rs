@@ -4,10 +4,10 @@
 
 use std::sync::{Arc, OnceLock};
 
-use rayon::prelude::*;
 use thirstyflops_catalog::SystemId;
 use thirstyflops_core::batch::{year_lane_stats, YearLaneStats};
 use thirstyflops_core::SystemYear;
+use thirstyflops_scenario::fanout;
 
 use crate::SEED;
 
@@ -19,17 +19,13 @@ static LANE_STATS: OnceLock<YearLaneStats> = OnceLock::new();
 ///
 /// The four 8760-hour simulations are independent (each seeds its own
 /// ChaCha12 stream from `(system, SEED)`), so they fan out across the
-/// configured worker threads; the result vector is merged in Table 1
-/// order, keeping the contract of `docs/CONCURRENCY.md`. The years are
-/// `Arc`s straight out of `core::simcache`, so this context shares
-/// storage with every other consumer of the same `(system, SEED)` pair.
+/// configured worker threads, each attached to the caller's trace; the
+/// result vector is merged in Table 1 order, keeping the contract of
+/// `docs/CONCURRENCY.md`. The years are `Arc`s straight out of
+/// `core::simcache`, so this context shares storage with every other
+/// consumer of the same `(system, SEED)` pair.
 pub fn paper_years() -> &'static [Arc<SystemYear>] {
-    YEARS.get_or_init(|| {
-        SystemId::PAPER
-            .par_iter()
-            .map(|&id| SystemYear::simulate(id, SEED))
-            .collect()
-    })
+    YEARS.get_or_init(|| fanout::map(&SystemId::PAPER, |&id| SystemYear::simulate(id, SEED)))
 }
 
 /// The K-lane annual statistics over [`paper_years`] (operational

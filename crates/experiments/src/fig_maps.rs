@@ -2,6 +2,7 @@
 
 use thirstyflops_catalog::wsi::CountyWsiField;
 use thirstyflops_catalog::{usmap, wsi};
+use thirstyflops_scenario::fanout;
 use thirstyflops_timeseries::Frame;
 
 use crate::{Experiment, SEED};
@@ -55,7 +56,7 @@ pub fn fig01() -> Experiment {
 pub fn fig10() -> Experiment {
     // The two county fields are independent seeded generations; run them
     // on two workers when a pool is configured.
-    let (il, tn) = rayon::join(
+    let (il, tn) = fanout::join(
         || CountyWsiField::generate("IL", 102, SEED).expect("IL is cataloged"),
         || CountyWsiField::generate("TN", 95, SEED).expect("TN is cataloged"),
     );

@@ -12,11 +12,10 @@
 
 use std::collections::BTreeMap;
 
-use rayon::prelude::*;
 use thirstyflops_catalog::SystemId;
 use thirstyflops_core::withdrawal::{withdrawal_report, WithdrawalParams};
 use thirstyflops_grid::Scenario;
-use thirstyflops_scenario::{GridOverride, ScenarioSpec};
+use thirstyflops_scenario::{fanout, GridOverride, ScenarioSpec};
 use thirstyflops_timeseries::Frame;
 use thirstyflops_units::{Fraction, Liters};
 
@@ -56,28 +55,25 @@ pub fn fig14() -> Experiment {
     // system's four scenarios through the engine (the simulated year is
     // shared with the rest of the experiments via core::simcache),
     // merged back in Table 1 order.
-    let per_system: Vec<Vec<(String, String, f64, f64)>> = SystemId::PAPER
-        .par_iter()
-        .map(|&id| {
-            scenarios
-                .iter()
-                .map(|&s| {
-                    let outcome = thirstyflops_scenario::evaluate(&fig14_spec(id, s))
-                        .expect("static fig14 specs are valid");
-                    let base = &outcome.baseline;
-                    let scen = &outcome.scenario;
-                    (
-                        id.to_string(),
-                        s.label().to_string(),
-                        100.0 * (base.mean_ci_g_per_kwh - scen.mean_ci_g_per_kwh)
-                            / base.mean_ci_g_per_kwh,
-                        100.0 * (base.mean_wi_l_per_kwh - scen.mean_wi_l_per_kwh)
-                            / base.mean_wi_l_per_kwh,
-                    )
-                })
-                .collect()
-        })
-        .collect();
+    let per_system: Vec<Vec<(String, String, f64, f64)>> = fanout::map(&SystemId::PAPER, |&id| {
+        scenarios
+            .iter()
+            .map(|&s| {
+                let outcome = thirstyflops_scenario::evaluate(&fig14_spec(id, s))
+                    .expect("static fig14 specs are valid");
+                let base = &outcome.baseline;
+                let scen = &outcome.scenario;
+                (
+                    id.to_string(),
+                    s.label().to_string(),
+                    100.0 * (base.mean_ci_g_per_kwh - scen.mean_ci_g_per_kwh)
+                        / base.mean_ci_g_per_kwh,
+                    100.0 * (base.mean_wi_l_per_kwh - scen.mean_wi_l_per_kwh)
+                        / base.mean_wi_l_per_kwh,
+                )
+            })
+            .collect()
+    });
 
     let mut system_col = Vec::new();
     let mut scenario_col = Vec::new();

@@ -22,7 +22,7 @@ mod fig_scenarios;
 mod fig_scheduling;
 mod fig_temporal;
 
-use rayon::prelude::*;
+use thirstyflops_scenario::fanout;
 use thirstyflops_timeseries::Frame;
 
 pub use fig_embodied::{fig03, fig04, table01, table02};
@@ -91,7 +91,7 @@ const REGENERATORS: [Regenerator; 21] = [
 /// by whichever worker touches it first, and the output order is always
 /// the paper order regardless of thread count.
 pub fn all() -> Vec<Experiment> {
-    REGENERATORS.par_iter().map(|(_, regen)| regen()).collect()
+    fanout::map(&REGENERATORS, |(_, regen)| regen())
 }
 
 /// Only the named experiments, paper order, in one parallel sweep —
@@ -103,7 +103,7 @@ pub fn select(ids: &[&str]) -> Vec<Experiment> {
         .filter(|(id, _)| ids.contains(id))
         .map(|&(_, regen)| regen)
         .collect();
-    picked.par_iter().map(|regen| regen()).collect()
+    fanout::map(&picked, |regen| regen())
 }
 
 /// The known artifact ids, paper order (cheap — regenerates nothing).

@@ -21,7 +21,6 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use rayon::prelude::*;
 use thirstyflops_catalog::{SystemId, SystemSpec};
 use thirstyflops_core::batch::{self as kernel, BatchContext, LaneAggregates, LaneRequest, TopN};
 use thirstyflops_grid::RegionId;
@@ -29,6 +28,7 @@ use thirstyflops_obs::span;
 use thirstyflops_obs::Counter;
 
 use crate::engine::{self, AggregateInputs};
+use crate::fanout;
 use crate::spec::{Overrides, ScenarioError, ScenarioSpec};
 use crate::sweep::{rank_key, SweepReport, SweepRow, SweepSpec, DEFAULT_RANK_METRIC};
 
@@ -256,20 +256,10 @@ pub(crate) fn evaluate_sweep_streaming(sweep: &SweepSpec) -> Result<SweepReport,
     };
     let total = sweep.combination_count();
     let starts: Vec<usize> = (0..total).step_by(CHUNK).collect();
-    // Capture the active trace (if any) before fanning out: worker
-    // threads have no trace context of their own, so each chunk
-    // re-attaches under the span open at this capture point. The
-    // parent edge is fixed here, not by scheduling, which is what
-    // keeps the span-tree shape thread-count-independent
-    // (`docs/CONCURRENCY.md` rule seven).
-    let trace_handle = thirstyflops_obs::trace::handle();
-    let outputs: Vec<Result<ChunkOutput, ScenarioError>> = starts
-        .par_iter()
-        .map(|&start| {
-            let _trace = trace_handle.as_ref().map(|h| h.attach());
-            evaluate_chunk(&shared, start, (start + CHUNK).min(total))
-        })
-        .collect();
+    // Each chunk attaches to the caller's trace (`crate::fanout`).
+    let outputs: Vec<Result<ChunkOutput, ScenarioError>> = fanout::map(&starts, |&start| {
+        evaluate_chunk(&shared, start, (start + CHUNK).min(total))
+    });
 
     // Merge in chunk (= expansion) order; the first error in expansion
     // order wins, as the eager path's sequential fold did.

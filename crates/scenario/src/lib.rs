@@ -15,6 +15,8 @@
 //! * [`engine`] — pure evaluation: [`evaluate`], [`compare`], metrics
 //!   (water, scarcity-adjusted water, carbon, cost) and deltas against
 //!   the un-overridden baseline;
+//! * [`fanout`] — rayon map and join that carry the caller's trace
+//!   context onto the workers (every fan-out in the workspace uses it);
 //! * [`sweep`] — `"axes"` cartesian expansion and the parallel
 //!   [`evaluate_sweep`], which streams combinations in chunks through
 //!   the batched K-lane kernel (`core::batch`); a `"top_n"` field keeps
@@ -45,6 +47,7 @@
 
 mod batch;
 pub mod engine;
+pub mod fanout;
 pub mod spec;
 pub mod sweep;
 

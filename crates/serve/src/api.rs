@@ -11,6 +11,7 @@ use thirstyflops_catalog::{SystemId, SystemSpec};
 use thirstyflops_core::uncertainty::{mix_ewf_interval, operational_interval};
 use thirstyflops_core::{AnnualReport, FootprintModel, Interval, SystemYear};
 use thirstyflops_grid::{GridRegion, Scenario};
+use thirstyflops_scenario::fanout;
 use thirstyflops_units::{GramsCo2PerKwh, LitersPerKilowattHour};
 
 /// The canonical JSON rendering: 2-space pretty with a trailing newline
@@ -138,11 +139,14 @@ pub struct RankPayload {
 }
 
 /// Builds the Water500-style ranking (worst first, like the CLI).
+///
+/// The six system-years are independent, so they fan out across the
+/// rayon workers (Fugaku, the slowest, runs beside the other five);
+/// reports come back in catalog order before the sort.
 pub fn rank_payload(adjusted: bool, seed: u64) -> RankPayload {
-    let mut reports: Vec<AnnualReport> = SystemId::ALL
-        .iter()
-        .map(|&id| FootprintModel::reference(id).annual_report(seed))
-        .collect();
+    let mut reports: Vec<AnnualReport> = fanout::map(&SystemId::ALL, |&id| {
+        FootprintModel::reference(id).annual_report(seed)
+    });
     if adjusted {
         reports.sort_by(|x, y| {
             y.adjusted_wi
@@ -207,10 +211,10 @@ pub fn operational_band(id: SystemId, report: &AnnualReport) -> Interval {
     operational_interval(energy, wue, spec.pue, ewf)
 }
 
-/// Builds the side-by-side comparison payload.
+/// Builds the side-by-side comparison payload; the two system-years
+/// are simulated in parallel.
 pub fn compare_payload(a: SystemId, b: SystemId, seed: u64) -> ComparePayload {
-    let pa = footprint_payload(a, seed);
-    let pb = footprint_payload(b, seed);
+    let (pa, pb) = fanout::join(|| footprint_payload(a, seed), || footprint_payload(b, seed));
     let band_a = operational_band(a, &pa.report);
     let band_b = operational_band(b, &pb.report);
     ComparePayload {

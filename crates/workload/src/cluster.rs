@@ -6,8 +6,14 @@
 //! reservation) is the de-facto standard batch policy, so the resulting
 //! utilization texture — high steady load with backfill ripples — matches
 //! what the M100/Fugaku log studies report.
+//!
+//! Running jobs live in a completion calendar (a calendar queue, Brown,
+//! CACM 1988): nodes released per end hour. Completing an hour's jobs is
+//! one bucket take, and the backfill reservation is a forward walk over
+//! the buckets instead of a sort of the running set.
 
-use std::collections::VecDeque;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::OnceLock;
 
 use thirstyflops_obs::span;
@@ -29,11 +35,79 @@ fn jobs_simulated() -> &'static Counter {
     })
 }
 
-/// A running job's remaining reservation.
-#[derive(Debug, Clone, Copy)]
-struct Running {
-    end_hour: usize,
-    nodes: u32,
+/// End hours with a dense calendar bucket: the simulated year plus the
+/// 168-hour duration cap of generated traces, so every generated job
+/// lands in a bucket.
+const DENSE_HOURS: usize = HOURS_PER_YEAR + 169;
+
+/// The running set as a completion calendar: nodes released per end
+/// hour. End hours past [`DENSE_HOURS`] (long jobs from SWF imports, up
+/// to `u32::MAX` hours) go to an ordered map, so memory stays bounded by
+/// the number of jobs whatever their durations. Those jobs never finish
+/// within the year; only the backfill reservation walk reads them.
+#[derive(Debug)]
+struct Calendar {
+    dense: Vec<u32>,
+    /// Sum of `dense`: nodes that a dense-only walk can release.
+    dense_busy: u32,
+    far: BTreeMap<usize, u32>,
+}
+
+impl Calendar {
+    fn new() -> Self {
+        Self {
+            dense: vec![0; DENSE_HOURS],
+            dense_busy: 0,
+            far: BTreeMap::new(),
+        }
+    }
+
+    /// Books `nodes` busy until `end_hour`.
+    fn insert(&mut self, end_hour: usize, nodes: u32) {
+        match self.dense.get_mut(end_hour) {
+            Some(bucket) => {
+                *bucket += nodes;
+                self.dense_busy += nodes;
+            }
+            None => *self.far.entry(end_hour).or_insert(0) += nodes,
+        }
+    }
+
+    /// Nodes whose jobs end by `hour`. A zero-hour job started in the
+    /// previous hour sits in bucket `hour - 1` and is released here, one
+    /// hour after its start, like every other job ending before `hour`.
+    fn release(&mut self, hour: usize) -> u32 {
+        let previous = hour
+            .checked_sub(1)
+            .map_or(0, |h| std::mem::take(&mut self.dense[h]));
+        let released = previous + std::mem::take(&mut self.dense[hour]);
+        self.dense_busy -= released;
+        released
+    }
+
+    /// The EASY reservation for a head job needing `needed` nodes while
+    /// `free` are idle at `hour`: the earliest end hour `E ≥ hour` by
+    /// which `needed` nodes are free assuming no new starts, and the
+    /// free-node count at `E`.
+    fn shadow(&self, hour: usize, free: u32, needed: u32) -> (usize, u32) {
+        if free + self.dense_busy >= needed {
+            let mut acc = free;
+            for (end, &nodes) in self.dense.iter().enumerate().skip(hour) {
+                acc += nodes;
+                if acc >= needed {
+                    return (end, acc);
+                }
+            }
+        }
+        let mut acc = free + self.dense_busy;
+        for (&end, &nodes) in &self.far {
+            acc += nodes;
+            if acc >= needed {
+                return (end, acc);
+            }
+        }
+        unreachable!("heads fit the cluster and every busy node is booked in the calendar")
+    }
 }
 
 /// Summary statistics from a simulated year.
@@ -80,18 +154,26 @@ impl ClusterSim {
     }
 
     /// Runs one year of FCFS + EASY backfill over `jobs` (any order;
-    /// sorted internally by submit hour). Returns the hourly busy-node
-    /// utilization in `[0, 1]` and summary stats.
+    /// processed by `(submit_hour, id)`, copying and sorting only when
+    /// the input is not already in that order). Returns the hourly
+    /// busy-node utilization in `[0, 1]` and summary stats.
     ///
     /// Jobs wider than the cluster are rejected (counted as unstarted).
     pub fn simulate_year(&self, jobs: &[Job]) -> (HourlySeries, ClusterStats) {
         let _span = span::span(span::CLUSTER_SIM);
         jobs_simulated().add(jobs.len() as u64);
-        let mut sorted: Vec<Job> = jobs.to_vec();
-        sorted.sort_by_key(|j| (j.submit_hour, j.id));
+        // `windows` rather than `is_sorted_by_key` (Rust 1.82; MSRV 1.80).
+        let key = |j: &Job| (j.submit_hour, j.id);
+        let sorted: Cow<'_, [Job]> = if jobs.windows(2).all(|w| key(&w[0]) <= key(&w[1])) {
+            Cow::Borrowed(jobs)
+        } else {
+            let mut owned = jobs.to_vec();
+            owned.sort_by_key(key);
+            Cow::Owned(owned)
+        };
 
         let mut queue: VecDeque<Job> = VecDeque::new();
-        let mut running: Vec<Running> = Vec::new();
+        let mut running = Calendar::new();
         let mut free = self.nodes;
         let mut next_arrival = 0usize;
 
@@ -103,14 +185,7 @@ impl ClusterSim {
 
         for hour in 0..HOURS_PER_YEAR {
             // Complete jobs.
-            running.retain(|r| {
-                if r.end_hour <= hour {
-                    free += r.nodes;
-                    false
-                } else {
-                    true
-                }
-            });
+            free += running.release(hour);
 
             // Accept arrivals.
             while next_arrival < sorted.len() && sorted[next_arrival].submit_hour <= hour {
@@ -128,10 +203,7 @@ impl ClusterSim {
                 if head.nodes <= free {
                     queue.pop_front();
                     free -= head.nodes;
-                    running.push(Running {
-                        end_hour: hour + head.duration_hours as usize,
-                        nodes: head.nodes,
-                    });
+                    running.insert(hour + head.duration_hours as usize, head.nodes);
                     started += 1;
                     let wait = (hour - head.submit_hour) as u32;
                     total_wait += wait as u64;
@@ -148,10 +220,10 @@ impl ClusterSim {
                 continue;
             }
             if let Some(&head) = queue.front() {
-                let shadow = Self::shadow_time(&running, free, head.nodes, hour);
-                // Nodes that will be free at shadow time beyond what the
-                // head needs ("extra" nodes a long backfill job may hold).
-                let free_at_shadow = self.free_at(&running, shadow);
+                // `free_at_shadow`: nodes free at shadow time; beyond what
+                // the head needs they are "extra" nodes a long backfill
+                // job may hold.
+                let (shadow, free_at_shadow) = running.shadow(hour, free, head.nodes);
                 let extra = free_at_shadow.saturating_sub(head.nodes);
 
                 let mut i = 1; // skip the head
@@ -162,10 +234,7 @@ impl ClusterSim {
                     let within_extra = cand.nodes <= extra.min(free);
                     if fits_now && (ends_before_shadow || within_extra) {
                         free -= cand.nodes;
-                        running.push(Running {
-                            end_hour: hour + cand.duration_hours as usize,
-                            nodes: cand.nodes,
-                        });
+                        running.insert(hour + cand.duration_hours as usize, cand.nodes);
                         started += 1;
                         let wait = (hour - cand.submit_hour) as u32;
                         total_wait += wait as u64;
@@ -194,33 +263,6 @@ impl ClusterSim {
             mean_utilization: series.mean(),
         };
         (series, stats)
-    }
-
-    /// Earliest hour at which `needed` nodes will be simultaneously free,
-    /// given the current running set.
-    fn shadow_time(running: &[Running], mut free: u32, needed: u32, now: usize) -> usize {
-        if needed <= free {
-            return now;
-        }
-        let mut ends: Vec<Running> = running.to_vec();
-        ends.sort_by_key(|r| r.end_hour);
-        for r in ends {
-            free += r.nodes;
-            if free >= needed {
-                return r.end_hour;
-            }
-        }
-        now // unreachable if needed ≤ cluster size
-    }
-
-    /// Free nodes at a future hour assuming no new starts.
-    fn free_at(&self, running: &[Running], hour: usize) -> u32 {
-        let busy: u32 = running
-            .iter()
-            .filter(|r| r.end_hour > hour)
-            .map(|r| r.nodes)
-            .sum();
-        self.nodes - busy
     }
 }
 
@@ -345,6 +387,29 @@ mod tests {
         let jobs = TraceGenerator::new(cfg).unwrap().generate_year();
         let (util, _) = ClusterSim::new(64).unwrap().simulate_year(&jobs);
         assert!(util.max() <= 1.0 + 1e-12);
+    }
+
+    #[test]
+    fn endless_job_keeps_the_calendar_bounded() {
+        // A u32::MAX-hour job books one ordered-map entry; the dense
+        // buckets stay the fixed year-plus-cap length.
+        let mut cal = Calendar::new();
+        cal.insert(10 + u32::MAX as usize, 3);
+        assert_eq!(cal.dense.len(), DENSE_HOURS);
+        assert_eq!(cal.far.len(), 1);
+        // The reservation walk reaches it past the dense buckets.
+        assert_eq!(cal.shadow(10, 1, 4), (10 + u32::MAX as usize, 4));
+
+        // End to end: the endless job holds its nodes all year, and a
+        // head needing them blocks without delaying a short job beside it.
+        let sim = ClusterSim::new(4).unwrap();
+        let (util, stats) =
+            sim.simulate_year(&[job(0, 0, 3, u32::MAX), job(1, 1, 4, 1), job(2, 2, 1, 2)]);
+        assert_eq!(util.get(0), 0.75);
+        assert_eq!(util.get(2), 1.0);
+        assert_eq!(util.get(HOURS_PER_YEAR - 1), 0.75);
+        assert_eq!(stats.started_jobs, 2);
+        assert_eq!(stats.unstarted_jobs, 1);
     }
 
     #[test]

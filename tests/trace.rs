@@ -79,6 +79,38 @@ fn folded_shape_is_identical_across_thread_counts() {
     );
 }
 
+/// Tree-shape contract at the other fan-outs: `rank` simulates its six
+/// system-years in parallel and `experiments` fans out both the
+/// artifacts and the paper-system years. Years simulated on a spawned
+/// worker must land in the trace exactly as they do inline at one
+/// thread.
+#[test]
+fn folded_shape_of_rank_and_experiments_is_identical_across_thread_counts() {
+    // (command, system-years it simulates)
+    let commands: [(&[&str], u64); 2] = [(&["rank"], 6), (&["experiments", "fig06"], 4)];
+    for (command, expected) in commands {
+        let run_at = |threads: &str| {
+            run(&[command, &["--json", "--profile", "--threads", threads]].concat())
+        };
+        let (one, two) = (run_at("1"), run_at("2"));
+        assert_eq!(
+            one.stdout, two.stdout,
+            "{command:?} output depends on threads"
+        );
+        let shape_1 = shape(&profile(&one));
+        assert_eq!(
+            shape_1,
+            shape(&profile(&two)),
+            "{command:?} span-tree shape depends on thread count"
+        );
+        let years = shape_1
+            .iter()
+            .find(|(path, _)| path == "cache_lookup;workload_sim;cluster_sim")
+            .map(|(_, n)| *n);
+        assert_eq!(years, Some(expected), "{command:?}: {shape_1:?}");
+    }
+}
+
 /// Tree-shape contract, cache axis: memoization elides repeated
 /// computation but never re-parents or duplicates the spans that do
 /// run, so the folded shape matches with the cache on and off.
